@@ -10,6 +10,7 @@
 package circuits
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/eda-go/moheco/internal/mos"
@@ -42,11 +43,25 @@ func clampMin(v, lo float64) float64 {
 	return v
 }
 
-// device builds the perturbed transistor for a variation slot. The returned
-// device owns a private copy of the model card.
-func device(space *variation.Space, xi []float64, slot int, nominal *mos.Params, w, l, m float64) *mos.Device {
-	card := nominal.Apply(space.Perturb(xi, slot, w*l*m*1e12))
-	return &mos.Device{Params: &card, W: w, L: l, M: m}
+// device writes the perturbed model card of one variation slot into card
+// and returns the transistor on it. Evaluators keep the cards in a per-call
+// array indexed by slot, so mapping a sample allocates nothing.
+func device(smp *variation.Sample, card *mos.Params, slot int, nominal *mos.Params, w, l float64) mos.Device {
+	*card = nominal.Apply(smp.Device(slot, w*l*1e12))
+	return mos.Device{Params: card, W: w, L: l, M: 1}
+}
+
+// cardName is the model name of a spice context's private card for a
+// variation slot. Contexts name their cards once when compiled; setCard
+// keeps the name across per-sample rewrites.
+func cardName(slot int) string { return fmt.Sprintf("m%d", slot) }
+
+// setCard rewrites card in place with slot's perturbation of the nominal
+// deck card under smp, keeping the card's name.
+func setCard(card *mos.Params, smp *variation.Sample, slot int, nominal *mos.Params, w, l float64) {
+	name := card.Name
+	*card = nominal.Apply(smp.Device(slot, w*l*1e12))
+	card.Name = name
 }
 
 // satCaps returns the device capacitances at a representative saturation

@@ -124,6 +124,27 @@ func TestEvaluateDeterministic(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllocs guards the per-sample path of the behavioural
+// evaluators: the perturbed cards and devices live in per-call arrays and
+// the inter-die block is mapped once per sample, so a sample costs the
+// performance vector and little else — not one card and device per slot.
+func TestEvaluateAllocs(t *testing.T) {
+	const maxAllocs = 4
+	for _, p := range allProblems() {
+		rng := randx.New(5)
+		x := p.(interface{ ReferenceDesign() []float64 }).ReferenceDesign()
+		xi := sample.PMC{}.Draw(rng, 1, p.VarDim())[0]
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := p.Evaluate(x, xi); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%s: %.0f allocations per Evaluate, want <= %d", p.Name(), allocs, maxAllocs)
+		}
+	}
+}
+
 func TestEvaluateRejectsBadInputs(t *testing.T) {
 	for _, p := range allProblems() {
 		if _, err := p.Evaluate(make([]float64, p.Dim()+1), nil); err == nil {

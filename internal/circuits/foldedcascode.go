@@ -175,9 +175,13 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 	w0 := w9 * ratio
 	k := mirrorRatio
 
-	// Perturbed devices for all 15 slots.
+	// Perturbed devices for all 15 slots, mapped from one Sample.
+	smp := p.space.Sample(xi)
+	var cards [fcNumDevices]mos.Params
+	var devs [fcNumDevices]mos.Device
 	dev := func(slot int, pmos bool, w, l float64) *mos.Device {
-		return device(p.space, xi, slot, nom(pmos), w, l, 1)
+		devs[slot] = device(&smp, &cards[slot], slot, nom(pmos), w, l)
+		return &devs[slot]
 	}
 	tail := dev(fcTail, true, w0, lcs)
 	inL := dev(fcInL, true, w1, l1)
@@ -196,12 +200,8 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 	biasPC := dev(fcBiasPC, true, w7/k, lcas)
 
 	// Nominal devices for the bias-chain set points (xi-independent).
-	nomDev := func(pmos bool, w, l float64) *mos.Device {
-		card := *nom(pmos)
-		return &mos.Device{Params: &card, W: w, L: l, M: 1}
-	}
-	nskNom := nomDev(false, w3, lcs)
-	psrNom := nomDev(true, w9, lcs)
+	nskNom := mos.Device{Params: nom(false), W: w3, L: lcs, M: 1}
+	psrNom := mos.Device{Params: nom(true), W: w9, L: lcs, M: 1}
 
 	// --- Bias chain and currents ---
 	// PMOS gate line: diode B1 at IC/k sets Vsg for sources and tail.

@@ -122,14 +122,17 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 		p:     p,
 		freqs: spice.LogSpace(1e3, 1e9, 8),
 		cards: []fcSlotCard{
-			{card: &mos.Params{}, slot: fcInL, pmos: true, w: w1, l: l1},
-			{card: &mos.Params{}, slot: fcNSinkL, pmos: false, w: w3, l: lcs},
-			{card: &mos.Params{}, slot: fcNCasL, pmos: false, w: w5, l: lcas},
-			{card: &mos.Params{}, slot: fcPCasL, pmos: true, w: w7, l: lcas},
-			{card: &mos.Params{}, slot: fcPSrcL, pmos: true, w: w9, l: lcs},
-			{card: &mos.Params{}, slot: fcBiasN, pmos: false, w: w3 / k, l: lcs},
-			{card: &mos.Params{}, slot: fcBiasP, pmos: true, w: w9 / k, l: lcs},
+			{slot: fcInL, pmos: true, w: w1, l: l1},
+			{slot: fcNSinkL, pmos: false, w: w3, l: lcs},
+			{slot: fcNCasL, pmos: false, w: w5, l: lcas},
+			{slot: fcPCasL, pmos: true, w: w7, l: lcas},
+			{slot: fcPSrcL, pmos: true, w: w9, l: lcs},
+			{slot: fcBiasN, pmos: false, w: w3 / k, l: lcs},
+			{slot: fcBiasP, pmos: true, w: w9 / k, l: lcs},
 		},
+	}
+	for i := range ctx.cards {
+		ctx.cards[i].card = &mos.Params{Name: cardName(ctx.cards[i].slot)}
 	}
 	ctx.setCards(nil)
 	cards := fcCards{
@@ -164,10 +167,10 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 // variation vector (nil = nominal).
 func (ctx *fcSpiceContext) setCards(xi []float64) {
 	inner := ctx.p.inner
+	smp := inner.space.Sample(xi)
 	for i := range ctx.cards {
 		sc := &ctx.cards[i]
-		*sc.card = inner.tech.Model(sc.pmos).Apply(inner.space.Perturb(xi, sc.slot, sc.w*sc.l*1e12))
-		sc.card.Name = fmt.Sprintf("m%d", sc.slot)
+		setCard(sc.card, &smp, sc.slot, inner.tech.Model(sc.pmos), sc.w, sc.l)
 	}
 }
 

@@ -108,20 +108,22 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 	w1, l1, w2 := x[1], x[2], x[3]
 	k := mirrorRatio
 
-	drv := device(p.space, xi, csDriver, p.tech.Model(false), w1, l1, 1)
-	load := device(p.space, xi, csLoad, p.tech.Model(true), w2, p.loadLen, 1)
-	bias := device(p.space, xi, csBias, p.tech.Model(true), w2/k, p.loadLen, 1)
+	smp := p.space.Sample(xi)
+	var cards [csNumDevices]mos.Params
+	drv := device(&smp, &cards[csDriver], csDriver, p.tech.Model(false), w1, l1)
+	load := device(&smp, &cards[csLoad], csLoad, p.tech.Model(true), w2, p.loadLen)
+	bias := device(&smp, &cards[csBias], csBias, p.tech.Model(true), w2/k, p.loadLen)
 
 	// The load mirrors the bias diode; the input bias servo sets the driver
 	// gate so it conducts the load current with the output at VDD/2.
-	id := clampMin(mirror(bias, load, ib/k, vdd/2), 1e-8)
-	gm := gmDegenerated(drv, drv.GmAt(id))
+	id := clampMin(mirror(&bias, &load, ib/k, vdd/2), 1e-8)
+	gm := gmDegenerated(&drv, drv.GmAt(id))
 	rout := par(drv.RoAt(id), load.RoAt(id))
 	a0 := gm * rout
 	a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
 
-	capsDrv := satCaps(drv, id)
-	capsLoad := satCaps(load, id)
+	capsDrv := satCaps(&drv, id)
+	capsLoad := satCaps(&load, id)
 	cOut := p.CL + capsDrv.Cdb + capsDrv.Cgd + capsLoad.Cdb + capsLoad.Cgd
 	gbw := gm / (2 * math.Pi * cOut)
 
@@ -137,7 +139,3 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 }
 
 var _ problem.Problem = (*CommonSource)(nil)
-
-// mosQuickRef silences the unused import when building documentation
-// examples that only reference the package.
-var _ = mos.Saturation

@@ -187,12 +187,18 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	w0 := w11 * ratio // tail shares the B1 gate line with the sinks
 	wCmfb := clampMin(w11/4, 1e-6)
 
+	// Perturbed devices, mapped from one Sample. The input pair's right
+	// half and the CMFB pair enter only through area and power, so they get
+	// no card; their variation slots stay in ξ (the paper's 123 variables).
+	smp := p.space.Sample(xi)
+	var cards [tsNumDevices]mos.Params
+	var devs [tsNumDevices]mos.Device
 	dev := func(slot int, pmos bool, w, l float64) *mos.Device {
-		return device(p.space, xi, slot, nom(pmos), w, l, 1)
+		devs[slot] = device(&smp, &cards[slot], slot, nom(pmos), w, l)
+		return &devs[slot]
 	}
 	tail := dev(tsTail, false, w0, lout)
 	inL := dev(tsInL, false, w1, l1)
-	inR := dev(tsInR, false, w1, l1)
 	ncsL := dev(tsNCasL, false, w3, l1s)
 	ncsR := dev(tsNCasR, false, w3, l1s)
 	pcsL := dev(tsPCasL, true, w5, l1s)
@@ -203,24 +209,15 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	drvR := dev(tsDrvR, true, w9, lout)
 	snkL := dev(tsSnkL, false, w11, lout)
 	snkR := dev(tsSnkR, false, w11, lout)
-	cmfbL := dev(tsCmfbL, false, wCmfb, lout)
-	cmfbR := dev(tsCmfbR, false, wCmfb, lout)
 	biasN := dev(tsBiasN, false, w11/k, lout)
 	biasPL := dev(tsBiasPL, true, w7/k, l1s)
 	biasPC := dev(tsBiasPC, true, w5/k, l1s)
 	biasNC := dev(tsBiasNC, false, w3/k, l1s)
-	_ = cmfbL
-	_ = cmfbR
-	_ = inR
 
-	nomDev := func(pmos bool, w, l float64) *mos.Device {
-		card := *nom(pmos)
-		return &mos.Device{Params: &card, W: w, L: l, M: 1}
-	}
-	tailNom := nomDev(false, w0, lout)
-	inNom := nomDev(false, w1, l1)
-	pldNom := nomDev(true, w7, l1s)
-	drvNom := nomDev(true, w9, lout)
+	tailNom := mos.Device{Params: nom(false), W: w0, L: lout, M: 1}
+	inNom := mos.Device{Params: nom(false), W: w1, L: l1, M: 1}
+	pldNom := mos.Device{Params: nom(true), W: w7, L: l1s, M: 1}
+	drvNom := mos.Device{Params: nom(true), W: w9, L: lout, M: 1}
 
 	// --- Currents ---
 	// NMOS gate line from B1 at I2/k: sinks mirror I2, tail mirrors IT.
@@ -300,14 +297,12 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 		vdd - 0.02 - vB,                    // load node below supply
 		p.cmfbRange - cmfbNeed,             // CMFB range
 		p.cmfbRange - math.Abs(vo1-vo1Nom), // stage-2 bias point drift
+		// Right side (mirror devices differ through mismatch).
+		vo1 - vA - ncsR.VDsatForID(ihR),
+		vB - vo1 - pcsR.VDsatForID(ihR),
+		vdd/2 - drvR.VDsatForID(i2R),
+		vdd/2 - snkR.VDsatForID(i2R),
 	}
-	// Right side margins (mirror devices differ through mismatch).
-	margins = append(margins,
-		vo1-vA-ncsR.VDsatForID(ihR),
-		vB-vo1-pcsR.VDsatForID(ihR),
-		vdd/2-drvR.VDsatForID(i2R),
-		vdd/2-snkR.VDsatForID(i2R),
-	)
 	satMargin := minOf(margins...)
 
 	// --- Swing (second stage limits) ---

@@ -68,8 +68,9 @@ func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 	if n == 0 {
 		return out
 	}
+	perm := make([]int, n)
 	for j := 0; j < dim; j++ {
-		perm := rng.Perm(n)
+		permInto(rng, perm)
 		for i := 0; i < n; i++ {
 			// Stratum perm[i] of [0,1), jittered, through Φ⁻¹.
 			u := (float64(perm[i]) + rng.Float64()) / float64(n)
@@ -83,6 +84,17 @@ func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 		}
 	}
 	return out
+}
+
+// permInto fills m with a pseudo-random permutation of [0, len(m)),
+// drawing exactly what rng.Perm(len(m)) draws, so a plan built on one
+// reused buffer is the plan built on a fresh Perm per coordinate.
+func permInto(rng *randx.Stream, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // Names returns the canonical sampler names ByName accepts (each also

@@ -194,3 +194,52 @@ func TestFirstPrimes(t *testing.T) {
 		}
 	}
 }
+
+// lhsPerCoordinatePerm is LHS.Draw as written on a fresh rand.Perm per
+// coordinate; the reused permutation buffer must reproduce it bit for bit.
+func lhsPerCoordinatePerm(rng *randx.Stream, n, dim int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, dim)
+	}
+	for j := 0; j < dim; j++ {
+		perm := rng.Perm(n)
+		for i := 0; i < n; i++ {
+			u := (float64(perm[i]) + rng.Float64()) / float64(n)
+			if u <= 0 {
+				u = 0.5 / float64(n)
+			}
+			if u >= 1 {
+				u = 1 - 0.5/float64(n)
+			}
+			out[i][j] = randx.NormQuantile(u)
+		}
+	}
+	return out
+}
+
+func TestLHSMatchesRandPerm(t *testing.T) {
+	for _, c := range []struct {
+		n, dim int
+		seed   uint64
+	}{{1, 1, 1}, {2, 7, 2}, {17, 5, 3}, {64, 80, 4}, {100, 123, 5}, {333, 3, 6}} {
+		got := LHS{}.Draw(randx.New(c.seed), c.n, c.dim)
+		want := lhsPerCoordinatePerm(randx.New(c.seed), c.n, c.dim)
+		for i := range want {
+			for j := range want[i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("n=%d dim=%d seed=%d: [%d][%d] = %v, want %v",
+						c.n, c.dim, c.seed, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+		// The stream must also be left where rand.Perm leaves it, so the
+		// caller's next draw is unchanged.
+		a, b := randx.New(c.seed), randx.New(c.seed)
+		LHS{}.Draw(a, c.n, c.dim)
+		lhsPerCoordinatePerm(b, c.n, c.dim)
+		if a.Int63() != b.Int63() {
+			t.Fatalf("n=%d dim=%d seed=%d: stream state diverged", c.n, c.dim, c.seed)
+		}
+	}
+}

@@ -71,29 +71,66 @@ func (s *Space) CheckVector(xi []float64) error {
 
 // Perturb computes the model perturbation of device dev (index into Devices)
 // with gate area areaUm2 (drawn W·L·M in µm²) under variation vector xi.
-// A nil xi returns the nominal (identity) perturbation.
+// A nil xi returns the nominal (identity) perturbation. It is
+// s.Sample(xi).Device(dev, areaUm2); a caller mapping several devices of
+// one sample should hold the Sample and call Device per slot.
 func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
-	p := mos.Nominal()
+	smp := s.Sample(xi)
+	return smp.Device(dev, areaUm2)
+}
+
+// Sample is one variation vector with its inter-die block already mapped:
+// the inter-die shifts are shared by every device of a polarity, so they
+// are applied once per polarity here and each device only adds its own
+// intra-die draws in Device.
+type Sample struct {
+	s  *Space
+	xi []float64
+	// nmos and pmos carry the inter-die shifts of each polarity.
+	nmos, pmos mos.Perturb
+}
+
+// Sample maps the inter-die block of xi once per polarity. When a
+// correlation structure is installed, the raw draws pass through its
+// Cholesky factor first. A nil xi is the nominal sample.
+func (s *Space) Sample(xi []float64) Sample {
+	smp := Sample{s: s, xi: xi, nmos: mos.Nominal(), pmos: mos.Nominal()}
 	if xi == nil {
-		return p
+		return smp
 	}
 	if len(xi) != s.Dim() {
 		panic(fmt.Sprintf("variation: vector has %d entries, space needs %d", len(xi), s.Dim()))
 	}
+	inter := xi[:len(s.Tech.Inter)]
+	for i, v := range s.Tech.Inter {
+		d := inter[i]
+		if s.chol != nil {
+			// Row i of L·ξ, summed in linalg.LowerMulVec's order.
+			d = 0
+			for j, l := range s.chol.Data[i*s.chol.Cols : i*s.chol.Cols+i+1] {
+				d += l * inter[j]
+			}
+		}
+		applyInter(&smp.nmos, v, d, false)
+		applyInter(&smp.pmos, v, d, true)
+	}
+	return smp
+}
+
+// Device returns the perturbation of device dev (index into Devices) with
+// gate area areaUm2 (drawn W·L·M in µm²): its polarity's inter-die shifts
+// plus its own intra-die draws, Pelgrom-scaled by the area.
+func (m *Sample) Device(dev int, areaUm2 float64) mos.Perturb {
+	if m.xi == nil {
+		return mos.Nominal()
+	}
+	s := m.s
 	if dev < 0 || dev >= len(s.Devices) {
 		panic(fmt.Sprintf("variation: device index %d out of range", dev))
 	}
-	pmos := s.Devices[dev].PMOS
-
-	// Inter-die: shared across devices of the matching polarity. When a
-	// correlation structure is installed, the raw draws pass through its
-	// Cholesky factor first.
-	inter := xi[:len(s.Tech.Inter)]
-	if s.chol != nil {
-		inter = linalg.LowerMulVec(s.chol, inter)
-	}
-	for i, v := range s.Tech.Inter {
-		applyInter(&p, v, inter[i], pmos)
+	p := m.nmos
+	if s.Devices[dev].PMOS {
+		p = m.pmos
 	}
 
 	// Intra-die: Pelgrom scaling by the device's own area.
@@ -104,6 +141,7 @@ func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
 	inv := 1 / math.Sqrt(area)
 	mm := s.Tech.Mismatch
 	base := len(s.Tech.Inter) + IntraPerDevice*dev
+	xi := m.xi
 	p.TOXScale *= 1 + mm.ATOX*inv*xi[base+0]
 	p.DVth += mm.AVT * inv * xi[base+1]
 	p.DLD += mm.ALD * inv * 1e-6 * xi[base+2]
@@ -213,9 +251,9 @@ func applyInter(p *mos.Perturb, v pdk.InterVar, xi float64, pmos bool) {
 }
 
 // SetInterCorrelation installs a correlation matrix over the inter-die
-// variables: subsequent Perturb calls draw the effective inter-die shifts
-// as L·ξ where L·Lᵀ = corr. The matrix must be symmetric positive definite
-// with unit diagonal (a proper correlation matrix) and sized
+// variables: subsequent Sample and Perturb calls draw the effective
+// inter-die shifts as L·ξ where L·Lᵀ = corr. The matrix must be symmetric
+// positive definite with unit diagonal (a proper correlation matrix) and sized
 // len(Tech.Inter) × len(Tech.Inter). Passing nil removes the structure.
 //
 // The paper requires generality over "any distribution of the process

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/eda-go/moheco/internal/linalg"
+	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/pdk"
 	"github.com/eda-go/moheco/internal/randx"
 )
@@ -56,6 +57,10 @@ func TestNominalIsIdentity(t *testing.T) {
 	p := s.Perturb(nil, 0, 10)
 	if p.DVth != 0 || p.U0Scale != 1 || p.TOXScale != 1 || p.DLD != 0 {
 		t.Errorf("nil vector should be identity: %+v", p)
+	}
+	nominal := s.Sample(nil)
+	if p := nominal.Device(99, 10); p != mos.Nominal() {
+		t.Errorf("nominal sample should be identity for any slot: %+v", p)
 	}
 	zero := make([]float64, s.Dim())
 	p = s.Perturb(zero, 3, 10)
@@ -179,6 +184,9 @@ func TestPerturbPanics(t *testing.T) {
 	}
 	assertPanic("bad length", func() { s.Perturb(make([]float64, 3), 0, 10) })
 	assertPanic("bad device", func() { s.Perturb(make([]float64, s.Dim()), 99, 10) })
+	assertPanic("bad sample length", func() { s.Sample(make([]float64, 3)) })
+	smp := s.Sample(make([]float64, s.Dim()))
+	assertPanic("bad sample device", func() { smp.Device(-1, 10) })
 }
 
 func TestInterCorrelation(t *testing.T) {
